@@ -1,9 +1,10 @@
 """Generic physically-addressed set-associative cache.
 
-This is the building block for L2/LLC levels and for the MPKI study in
+This is the building block for the L1 stores and for the MPKI study in
 Fig. 2a, where only hit/miss behaviour matters.  L1 frontends (VIPT, PIPT,
 SEESAW) layer indexing/tagging semantics and timing on top of the same
-structures.
+structures.  The levels behind the L1 use the slot-free
+:class:`~repro.cache.hierarchy.LRUTagStore` instead.
 """
 
 from __future__ import annotations

@@ -21,6 +21,7 @@ real-world products" (paper §I).
 
 from __future__ import annotations
 
+import weakref
 from collections import defaultdict
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set
@@ -71,9 +72,14 @@ class VivtL1Cache:
 
     def _wire_store(self) -> None:
         """Register the internal eviction hook that keeps the synonym
-        filter in sync with the store."""
+        filter in sync with the store.
+
+        The hook holds this cache weakly: the store is owned by this
+        cache, so a strong reference would form a reference cycle.
+        """
+        cache = weakref.ref(self)
         self.store.register_eviction_hook(
-            lambda vline, dirty: self._drop_mapping(vline))
+            lambda vline, dirty: cache()._drop_mapping(vline))
 
     def __setstate__(self, state: dict) -> None:
         # The store drops every eviction hook when pickled; put the

@@ -21,6 +21,7 @@ misses and write-upgrades.
 
 from __future__ import annotations
 
+import weakref
 from typing import Dict, List, Optional
 
 import numpy as np
@@ -67,8 +68,7 @@ class SystemSimulator:
             frequency_ghz=config.frequency_ghz,
             llc_size=config.llc_size_kb * 1024,
             llc_ways=config.llc_ways,
-            llc_latency=config.llc_latency,
-            seed=config.seed)
+            llc_latency=config.llc_latency)
         self.energy = EnergyAccountant(
             sram=self.sram,
             l1_size_bytes=config.l1_size_bytes,
@@ -216,7 +216,14 @@ class SystemSimulator:
         restored simulator is wired exactly like a freshly built one — the
         registration order below matches the original construction order,
         so hook firing order (and therefore behaviour) is identical.
+
+        Hooks that need the simulator hold it through a weak reference:
+        the components they are registered on are owned by the simulator,
+        so a strong one would put it in a reference cycle, and a finished
+        simulator (with its whole LLC) would then wait for a full garbage
+        collection instead of being freed by reference counting.
         """
+        sim = weakref.ref(self)
         for tlb, l1 in zip(self.tlbs, self.l1s):
             if isinstance(l1, SeesawL1Cache):
                 l1.attach_to_tlb_hierarchy(tlb)
@@ -227,11 +234,11 @@ class SystemSimulator:
                 lambda vb, ps, _t=tlb: _t.invalidate(vb, ps))
         if self.fabric is not None:
             self.fabric.register_probe_listener(
-                lambda core, ways: self.energy.record_l1_lookup(
+                lambda core, ways: sim().energy.record_l1_lookup(
                     ways, coherence=True))
         for core_id, l1 in enumerate(self.l1s):
             l1.store.register_eviction_hook(
-                lambda line, dirty, _c=core_id: self._on_l1_eviction(
+                lambda line, dirty, _c=core_id: sim()._on_l1_eviction(
                     _c, line, dirty))
 
     def _on_l1_eviction(self, core_id: int, line_address: int,
@@ -693,8 +700,9 @@ class SystemSimulator:
 
     #: bump when the snapshot payload layout changes.  v2: slotted
     #: TLBEntry/CacheLine/L1AccessResult and precomputed geometry fields
-    #: make v1 payloads unloadable.
-    SNAPSHOT_VERSION = 2
+    #: make v1 payloads unloadable.  v3: the levels behind the L1 are
+    #: ``LRUTagStore`` s, not ``SetAssociativeCache`` s.
+    SNAPSHOT_VERSION = 3
 
     def snapshot(self) -> bytes:
         """Serialize the complete mutable simulation state.

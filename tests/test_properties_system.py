@@ -13,6 +13,7 @@ import hypothesis.strategies as st
 from hypothesis import HealthCheck, given, settings
 
 from repro.cache.basic import SetAssociativeCache
+from repro.cache.hierarchy import LRUTagStore
 from repro.cache.vipt import L1Timing, ViptL1Cache
 from repro.cache.vivt import VivtL1Cache
 from repro.coherence.directory import Directory
@@ -270,6 +271,40 @@ class TestOptimizedCachePathEquivalence:
         assert vipt.stats.hits == reference.stats.hits
         assert vipt.stats.misses == reference.stats.misses
         assert vipt.stats.ways_probed == reference.stats.ways_probed
+
+
+class TestLRUTagStoreEquivalence:
+    """The dict-per-set tag store behind the L1 must be indistinguishable
+    from the way-slotted ``SetAssociativeCache`` under true LRU: same hit
+    stream, same counters, same resident tags and dirty bits in the same
+    recency order."""
+
+    # (size, ways) of 1-4 sets holding 4-16 lines: a 24-line pool
+    # overflows them, so most streams evict, and many evict dirty lines.
+    @given(st.sampled_from([(256, 4), (512, 2), (1024, 4), (1024, 8)]),
+           st.lists(st.tuples(st.integers(min_value=0, max_value=23),
+                              st.integers(min_value=0, max_value=63),
+                              st.booleans()),
+                    min_size=16, max_size=150))
+    def test_matches_set_associative_lru(self, geometry, references):
+        size, ways = geometry
+        store = LRUTagStore(size, ways)
+        reference = SetAssociativeCache(size, ways, replacement="lru")
+        for line_number, offset, is_write in references:
+            address = line_number * 64 + offset
+            assert (store.access(address, is_write=is_write)
+                    == reference.access(address, is_write=is_write))
+            assert store.contains(address) and reference.contains(address)
+        assert store.stats == reference.stats
+        expected = {}
+        for index, cache_set in reference._sets.items():
+            lines = cache_set.lines
+            expected[index] = [
+                (lines[way].tag, lines[way].dirty)
+                for way in cache_set.policy.recency_order()
+                if lines[way].valid]
+        assert {index: list(tags.items())
+                for index, tags in store._sets.items()} == expected
 
 
 class TestTranslateRawEquivalence:

@@ -1,5 +1,8 @@
 """Integration tests for the full-system simulator."""
 
+import gc
+import weakref
+
 import pytest
 
 from repro.core.seesaw import SeesawL1Cache
@@ -145,3 +148,29 @@ class TestWayPredictionDesigns:
         plain = run(SystemConfig(l1_design="vipt"))
         wp = run(SystemConfig(l1_design="vipt", way_prediction=True))
         assert wp.total_energy_nj < plain.total_energy_nj
+
+
+class TestFreedOnReturn:
+    """A finished simulator holds no reference cycles, so dropping the
+    last reference frees it (and its LLC) by reference counting alone."""
+
+    @pytest.mark.parametrize("design,way_prediction", [
+        ("vipt", False), ("seesaw", False), ("pipt", False),
+        ("vivt", False), ("vipt", True)])
+    def test_no_cycles_survive_del(self, design, way_prediction):
+        config = SystemConfig(l1_design=design,
+                              way_prediction=way_prediction)
+        was_enabled = gc.isenabled()
+        gc.disable()
+        try:
+            sim = SystemSimulator(config, MT_TRACE)
+            sim.run()
+            refs = [weakref.ref(obj) for obj in (
+                sim, sim.hierarchy, sim.hierarchy.levels[-1].cache,
+                *sim.l1s, *sim.tlbs)]
+            del sim
+            alive = [ref() for ref in refs if ref() is not None]
+            assert not alive, [type(obj).__name__ for obj in alive]
+        finally:
+            if was_enabled:
+                gc.enable()
