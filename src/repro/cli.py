@@ -40,9 +40,11 @@ the runtime invariant sanitizer (see :mod:`repro.devtools.sanitize`) or
 ``--no-sanitize`` to force it off (overriding ``REPRO_SANITIZE``, e.g. to
 let a fault-injection run complete and flag the faults in its report).
 Parallel sweeps (``--jobs``) run supervised by default — worker
-heartbeats, hung-worker replacement, RSS watchdogs, a free-disk guard —
-tunable with ``--hung-after``/``--max-rss-mb``/``--min-free-mb`` and
-disabled by ``--no-supervise``; ``--chaos KIND@N[:BYTES]`` injects
+heartbeats, hung-worker replacement, RSS watchdogs — tunable with
+``--hung-after``/``--max-rss-mb`` and disabled by ``--no-supervise``;
+every journaled sweep, at any ``--jobs``, pauses (exit 4) when the
+journal's filesystem falls below ``--min-free-mb``.
+``--chaos KIND@N[:BYTES]`` injects
 deterministic host faults (see :mod:`repro.resilience.chaos`) to
 exercise that machinery.
 
@@ -215,8 +217,7 @@ def _policy_from_args(args: argparse.Namespace):
         return None
     from repro.resilience.supervisor import SupervisionPolicy
     return SupervisionPolicy(hung_after_s=args.hung_after,
-                             max_rss_mb=args.max_rss_mb,
-                             min_free_mb=args.min_free_mb)
+                             max_rss_mb=args.max_rss_mb)
 
 
 def _config_from_args(args: argparse.Namespace,
@@ -422,7 +423,7 @@ def _print_sweep_report(report, baseline: str, design: str,
         from repro.resilience.errors import EXIT_PAUSED
         print(f"PAUSED: {report.pause_reason}", file=sys.stderr)
         if report.resume_hint:
-            print(f"resume with: {report.resume_hint}", file=sys.stderr)
+            print(f"to continue: {report.resume_hint}", file=sys.stderr)
         return EXIT_PAUSED
     return 0 if report.ok else 1
 
@@ -430,6 +431,7 @@ def _print_sweep_report(report, baseline: str, design: str,
 def cmd_sweep(args: argparse.Namespace) -> int:
     _apply_sanitizer_override(args)
     from repro.resilience import chaos
+    from repro.resilience.runner import resilient_sweep
 
     if args.resume and not args.journal:
         raise ValueError(
@@ -445,7 +447,6 @@ def cmd_sweep(args: argparse.Namespace) -> int:
                                               for path in args.trace]
     else:
         names = args.workloads or list(WORKLOADS)
-    jobs = args.jobs or 1
     sampling_plan = _sampling_plan_from_args(args)
     if sampling_plan is not None and args.inject:
         raise ValueError(
@@ -454,34 +455,20 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             "choices: drop --sampled (exact fault campaign) or drop "
             "--inject (sampled estimate)")
     with chaos.armed(_chaos_plan_from_args(args)):
-        if jobs > 1:
-            from repro.perf.parallel import parallel_sweep
-            report = parallel_sweep(
-                _config_from_args(args), names,
-                trace_length=args.length, seed=args.seed,
-                designs=(args.baseline, args.design),
-                journal_path=args.journal,
-                resume=args.resume,
-                jobs=jobs,
-                timeout_s=args.timeout,
-                max_retries=args.retries,
-                fault_plan=_fault_plan_from_args(args),
-                policy=_policy_from_args(args),
-                sampling_plan=sampling_plan)
-        else:
-            from repro.resilience.runner import resilient_sweep
-            report = resilient_sweep(
-                _config_from_args(args), names,
-                trace_length=args.length, seed=args.seed,
-                designs=(args.baseline, args.design),
-                journal_path=args.journal,
-                resume=args.resume,
-                isolate=args.isolate,
-                timeout_s=args.timeout,
-                max_retries=args.retries,
-                fault_plan=_fault_plan_from_args(args),
-                min_free_mb=args.min_free_mb,
-                sampling_plan=sampling_plan)
+        report = resilient_sweep(
+            _config_from_args(args), names,
+            trace_length=args.length, seed=args.seed,
+            designs=(args.baseline, args.design),
+            journal_path=args.journal,
+            resume=args.resume,
+            jobs=args.jobs or 1,
+            isolate=args.isolate,
+            timeout_s=args.timeout,
+            max_retries=args.retries,
+            fault_plan=_fault_plan_from_args(args),
+            min_free_mb=args.min_free_mb,
+            policy=_policy_from_args(args),
+            sampling_plan=sampling_plan)
     return _print_sweep_report(
         report, args.baseline, args.design,
         title=f"{args.design} vs {args.baseline} "
@@ -497,7 +484,6 @@ def cmd_resume(args: argparse.Namespace) -> int:
     header, _cells = SweepJournal(args.journal).read()
     config = config_from_dict(header["config"])
     designs = header["designs"]
-    jobs = args.jobs or 1
     sampling_plan = None
     if header.get("sampling") is not None:
         # The journal is a sampled-lane journal: resume it under the
@@ -506,27 +492,17 @@ def cmd_resume(args: argparse.Namespace) -> int:
 
         sampling_plan = SamplingPlan.from_dict(header["sampling"])
     with chaos.armed(_chaos_plan_from_args(args)):
-        if jobs > 1:
-            from repro.perf.parallel import parallel_sweep
-            report = parallel_sweep(
-                config, header["workloads"],
-                trace_length=header["trace_length"], seed=header["seed"],
-                designs=designs,
-                journal_path=args.journal, resume=True,
-                jobs=jobs, timeout_s=args.timeout,
-                max_retries=args.retries,
-                policy=_policy_from_args(args),
-                sampling_plan=sampling_plan)
-        else:
-            report = resilient_sweep(
-                config, header["workloads"],
-                trace_length=header["trace_length"], seed=header["seed"],
-                designs=designs,
-                journal_path=args.journal, resume=True,
-                isolate=args.isolate, timeout_s=args.timeout,
-                max_retries=args.retries,
-                min_free_mb=args.min_free_mb,
-                sampling_plan=sampling_plan)
+        report = resilient_sweep(
+            config, header["workloads"],
+            trace_length=header["trace_length"], seed=header["seed"],
+            designs=designs,
+            journal_path=args.journal, resume=True,
+            jobs=args.jobs or 1,
+            isolate=args.isolate, timeout_s=args.timeout,
+            max_retries=args.retries,
+            min_free_mb=args.min_free_mb,
+            policy=_policy_from_args(args),
+            sampling_plan=sampling_plan)
     baseline = designs[0]
     design = designs[-1]
     return _print_sweep_report(
@@ -713,6 +689,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
         retries=args.retries,
         deadline_s=args.deadline,
         policy=_policy_from_args(args),
+        min_free_mb=args.min_free_mb,
     )
     server = SimulationServer(config)
     print(f"repro serve: spool {config.spool}, {config.jobs} worker "

@@ -1,20 +1,16 @@
-"""Performance engineering: parallel sweep execution and benchmarking.
+"""Performance engineering: the ``repro bench`` harness.
 
-* :func:`repro.perf.parallel.parallel_sweep` — a process-pool dispatcher
-  layered on the resilience journal, so ``repro sweep --jobs N`` runs
-  cells concurrently while writing the exact journal bytes a serial sweep
-  would.
-* :mod:`repro.perf.bench` — the ``repro bench`` harness: per-stage
-  latency percentiles, cells/sec and accesses/sec throughput, and a
-  calibration-normalized regression gate against a committed baseline.
+:mod:`repro.perf.bench` measures per-stage latency percentiles, cells/sec
+and accesses/sec throughput, and gates them against a committed baseline
+with a calibration-normalized regression check.  Its ``jobs > 1`` section
+times ``resilient_sweep(jobs=…)`` — the one sweep engine, whose process
+dispatcher lives in :mod:`repro.resilience.supervisor` — over the same
+matrix.
 """
 
-from repro.perf.parallel import DuplicateCellError, parallel_sweep
 from repro.perf.bench import check_regression, run_benchmark
 
 __all__ = [
-    "DuplicateCellError",
-    "parallel_sweep",
     "run_benchmark",
     "check_regression",
 ]

@@ -112,8 +112,8 @@ def run_benchmark(workloads: Optional[Sequence[str]] = None,
 
     ``quick`` shrinks the matrix (two workloads, one repeat) to CI
     budget.  ``jobs > 1`` adds a ``parallel`` section: wall-clock of a
-    :func:`repro.perf.parallel.parallel_sweep` over the same matrix and
-    its speedup against the serial instrumented pass.
+    ``resilient_sweep(jobs=…)`` over the same matrix and its speedup
+    against the serial instrumented pass.
     """
     from repro.sim.config import SystemConfig
 
@@ -184,10 +184,10 @@ def run_benchmark(workloads: Optional[Sequence[str]] = None,
     }
 
     if jobs > 1:
-        from repro.perf.parallel import parallel_sweep
+        from repro.resilience.runner import resilient_sweep
         start = time.perf_counter()
-        parallel_sweep(config, workloads, trace_length=trace_length,
-                       seed=seed, designs=designs, jobs=jobs)
+        resilient_sweep(config, workloads, trace_length=trace_length,
+                        seed=seed, designs=designs, jobs=jobs)
         parallel_wall = time.perf_counter() - start
         payload["parallel"] = {
             "jobs": jobs,

@@ -22,9 +22,10 @@ this package makes them survivable:
   (worker SIGKILL, ENOSPC/EIO/torn journal and checkpoint writes,
   scheduled SIGINT/SIGTERM) proving the supervision stack keeps every
   campaign resumable.
-* :mod:`repro.resilience.supervisor` — self-healing sweep supervision:
-  worker heartbeats, hung-worker replacement, RSS watchdogs with adaptive
-  job downshift, free-disk guards, and graceful interrupt trapping.
+* :mod:`repro.resilience.supervisor` — the process dispatcher behind
+  ``resilient_sweep(jobs=N)`` and its self-healing supervision: worker
+  heartbeats, hung-worker replacement, RSS watchdogs with adaptive job
+  downshift, and graceful interrupt trapping.
 * :mod:`repro.resilience.doctor` — ``repro doctor``: validate and repair
   journals/checkpoints, quarantining corrupt records and reporting the
   exact cells a resume will re-run.
@@ -46,6 +47,7 @@ from repro.resilience.errors import (
     CheckpointError,
     DeadlineExceeded,
     DiskSpaceError,
+    DuplicateCellError,
     JobNotFound,
     JournalError,
     JournalWriteError,
@@ -88,9 +90,7 @@ from repro.resilience.doctor import (
     repair,
 )
 from repro.resilience.supervisor import (
-    SupervisedDispatcher,
     SupervisionPolicy,
-    supervised_sweep,
     trap_interrupts,
 )
 
@@ -111,6 +111,7 @@ __all__ = [
     "CheckpointError",
     "DeadlineExceeded",
     "DiskSpaceError",
+    "DuplicateCellError",
     "JobNotFound",
     "JournalError",
     "JournalWriteError",
@@ -140,8 +141,6 @@ __all__ = [
     "Diagnosis",
     "diagnose",
     "repair",
-    "SupervisedDispatcher",
     "SupervisionPolicy",
-    "supervised_sweep",
     "trap_interrupts",
 ]

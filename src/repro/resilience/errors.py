@@ -19,6 +19,7 @@ code  meaning
 3     the runtime invariant sanitizer tripped
 4     the sweep paused cleanly (disk-space guard, journal write
       fault) — the journal is intact; ``repro resume`` continues
+      (re-run the sweep instead when its header never reached the disk)
 130   interrupted by SIGINT — journal flushed, canonicalized,
       resumable (128 + signal number; SIGTERM exits 143)
 ====  ========================================================
@@ -106,6 +107,10 @@ class CellError(ReproResilienceError):
         self.error_class = error_class
         self.message = message
         self.traceback_text = traceback_text
+
+
+class DuplicateCellError(ReproResilienceError):
+    """The same (workload, design) cell was dispatched twice concurrently."""
 
 
 class JournalError(ReproResilienceError):

@@ -1,7 +1,9 @@
 """Crash-safe, isolated, resumable sweeps.
 
-:func:`resilient_sweep` is the fault-tolerant engine behind
-``repro.sim.experiment.sweep`` and the ``repro sweep`` CLI:
+:func:`resilient_sweep` is the one sweep engine: it runs
+``repro.sim.experiment.sweep``, ``repro sweep``/``repro resume``, ``repro
+serve`` requests and the ``repro bench`` parallel pass, at every
+``jobs`` value:
 
 * **Journaling** — every completed (workload, design) cell is appended to
   a JSONL journal with an fsync and a per-record checksum, so a sweep
@@ -15,6 +17,10 @@
   crash) are retried with exponential backoff; deterministic errors are
   recorded as structured :class:`FailedCell` entries and the sweep moves
   on.
+* **Parallelism** — ``jobs > 1`` hands the planned cells to the process
+  dispatcher in :mod:`repro.resilience.supervisor`; outcomes are
+  journaled in cell-enumeration order either way, so the journal bytes
+  do not depend on ``jobs``.
 """
 
 from __future__ import annotations
@@ -29,7 +35,7 @@ import signal as _signal_module
 import threading
 import time
 import traceback
-from contextlib import ExitStack
+from contextlib import ExitStack, suppress
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, Iterator, List, Optional, Tuple
@@ -215,13 +221,27 @@ class SweepJournal:
         self.path = Path(path)
         self.min_free_bytes = min_free_bytes
 
+    #: False from the start of :meth:`write_header` until the header is on
+    #: disk: a journal without its header identifies no sweep, so a pause
+    #: in that window has nothing to resume.
+    resumable = True
+
     def exists(self) -> bool:
         return self.path.exists()
 
     @property
+    def resume_hint(self) -> str:
+        """How to continue after a write fault pauses the sweep."""
+        if not self.resumable:
+            return (f"re-run the sweep: no journal header reached "
+                    f"{self.path}, so there is nothing to resume")
+        return f"python -m repro resume {self.path}"
+
+    @property
     def _resume_hint(self) -> str:
-        return (f"the journal is intact and resumable: "
-                f"python -m repro resume {self.path}")
+        if not self.resumable:
+            return self.resume_hint
+        return f"the journal is intact and resumable: {self.resume_hint}"
 
     def _guard_free_space(self, incoming_bytes: int) -> None:
         if not self.min_free_bytes:
@@ -260,10 +280,21 @@ class SweepJournal:
         chaos.after_write("journal")
 
     def write_header(self, header_fields: Dict) -> None:
-        """Start a fresh journal (truncating any previous one)."""
+        """Start a fresh journal (truncating any previous one).
+
+        A write fault on the header leaves no file behind: a torn header
+        identifies no sweep, and the pause it causes says to re-run.
+        """
         if self.path.exists():
             self.path.unlink()
-        self._append({"type": "header", **header_fields})
+        self.resumable = False
+        try:
+            self._append({"type": "header", **header_fields})
+        except JournalWriteError:
+            with suppress(OSError):
+                self.path.unlink()
+            raise
+        self.resumable = True
 
     def append_done(self, workload: str, design: str, digest: str,
                     result_payload: Dict) -> None:
@@ -381,10 +412,9 @@ class SweepJournal:
 
 def sweep_header_fields(base_config, workloads, designs, trace_length: int,
                         seed: int, sampling_plan=None) -> Dict:
-    """The journal header both sweep engines write.
+    """The journal header a sweep writes, at every ``jobs`` value.
 
-    One shared builder keeps the serial and parallel engines byte-identical
-    (a pinned invariant).  When any workload is an ``rtrace:`` token, the
+    When any workload is an ``rtrace:`` token, the
     header records that trace's digest so a resume against a re-ingested
     or swapped trace file is refused instead of mixing results.
     """
@@ -526,6 +556,44 @@ def _cell_worker(connection, config, workload: str, trace_length: int,
         connection.close()
 
 
+def _start_worker(config, workload: str, trace_length: int, seed: int,
+                  fault_plan, sampling_plan=None,
+                  heartbeat_s: Optional[float] = None):
+    """Start one cell attempt in a worker process; returns
+    ``(worker, receiver)``, the process and the read end of its result
+    pipe.
+
+    Forks where the platform allows (else spawns).  A due chaos
+    ``worker-kill`` SIGKILLs the worker the instant it starts.
+    """
+    method = ("fork" if "fork" in multiprocessing.get_all_start_methods()
+              else "spawn")
+    context = multiprocessing.get_context(method)
+    receiver, sender = context.Pipe(duplex=False)
+    worker = context.Process(
+        target=_cell_worker,
+        args=(sender, config, workload, trace_length, seed, fault_plan,
+              heartbeat_s, sampling_plan),
+        daemon=True)
+    worker.start()
+    sender.close()  # parent keeps only the read end
+    if chaos.worker_kill_due():
+        os.kill(worker.pid, _signal_module.SIGKILL)
+    return worker, receiver
+
+
+def _reap_worker(worker, receiver) -> None:
+    """Close a worker's pipe and make sure the process is gone:
+    terminate, then kill if it lingers."""
+    receiver.close()
+    if worker.is_alive():
+        worker.terminate()
+        worker.join(2)
+    if worker.is_alive():
+        worker.kill()
+        worker.join(2)
+
+
 def _run_cell_isolated(config, workload: str, trace_length: int, seed: int,
                        fault_plan, timeout_s: Optional[float],
                        sampling_plan=None):
@@ -537,19 +605,8 @@ def _run_cell_isolated(config, workload: str, trace_length: int, seed: int,
     """
     from repro.sim.stats import SimulationResult
 
-    method = ("fork" if "fork" in multiprocessing.get_all_start_methods()
-              else "spawn")
-    context = multiprocessing.get_context(method)
-    receiver, sender = context.Pipe(duplex=False)
-    worker = context.Process(
-        target=_cell_worker,
-        args=(sender, config, workload, trace_length, seed, fault_plan,
-              None, sampling_plan),
-        daemon=True)
-    worker.start()
-    sender.close()  # parent keeps only the read end
-    if chaos.worker_kill_due():
-        os.kill(worker.pid, _signal_module.SIGKILL)
+    worker, receiver = _start_worker(config, workload, trace_length, seed,
+                                     fault_plan, sampling_plan)
     try:
         if not receiver.poll(timeout_s):
             raise CellTimeout(
@@ -562,13 +619,7 @@ def _run_cell_isolated(config, workload: str, trace_length: int, seed: int,
                 f"cell ({workload}, {config.l1_design}) worker died "
                 f"without reporting (exit code {worker.exitcode})") from None
     finally:
-        receiver.close()
-        if worker.is_alive():
-            worker.terminate()
-            worker.join(2)
-        if worker.is_alive():
-            worker.kill()
-            worker.join(2)
+        _reap_worker(worker, receiver)
     if outcome[0] == "ok":
         return SimulationResult.from_dict(outcome[1])
     _, error_class, message, traceback_text = outcome
@@ -679,18 +730,56 @@ def _execute_with_retries(config, workload: str, trace_length: int, seed: int,
 
 # ------------------------------------------------------------------- sweep
 
+class _CellTask:
+    """One planned sweep cell: its slot in the execution order, config
+    and digest, plus the dispatcher's retry bookkeeping."""
+
+    __slots__ = ("slot", "workload", "design", "config", "digest",
+                 "attempts", "ready_at")
+
+    def __init__(self, slot: int, workload: str, design: str, config,
+                 digest: str) -> None:
+        self.slot = slot
+        self.workload = workload
+        self.design = design
+        self.config = config
+        self.digest = digest
+        self.attempts = 0
+        self.ready_at = 0.0           # monotonic time a retry becomes due
+
+
+def _journal_outcome(journal: Optional[SweepJournal], task: _CellTask,
+                     result, failure: Optional[FailedCell]) -> None:
+    if journal is None:
+        return
+    if result is not None:
+        journal.append_done(task.workload, task.design, task.digest,
+                            result.to_dict())
+    else:
+        journal.append_failed(failure)
+
+
 def resilient_sweep(base_config, workloads, trace_length: int = 60_000,
                     seed: int = 42, designs=("vipt", "seesaw"),
                     mutate=None, journal_path=None, resume: bool = True,
-                    isolate: bool = False, timeout_s: Optional[float] = None,
+                    jobs: int = 1, isolate: bool = False,
+                    timeout_s: Optional[float] = None,
                     max_retries: int = 1, retry_backoff_s: float = 0.25,
                     fault_plan=None, fail_fast: bool = False,
                     min_free_mb: Optional[float] = None,
                     deadline_s: Optional[float] = None,
                     retry_rng=None,
                     interrupt_state=None,
-                    sampling_plan=None) -> SweepReport:
+                    sampling_plan=None, policy=None) -> SweepReport:
     """Run a (workload x design) sweep that survives crashes and bad cells.
+
+    The sweep is planned once (validation, journal header or resume,
+    ``mutate``, the reuse check); then either the in-process loop
+    (``jobs <= 1``) or the process dispatcher (``jobs > 1``) executes the
+    remaining cells.  Both report every outcome to one sink that appends
+    journal records in cell-enumeration order, so the report, the
+    journal bytes and the resume behaviour are the same at every
+    ``jobs`` value — only wall-clock time changes.
 
     Args:
         base_config: the machine every cell derives from via
@@ -699,12 +788,16 @@ def resilient_sweep(base_config, workloads, trace_length: int = 60_000,
         trace_length / seed: forwarded to ``build_trace``.
         designs: L1 designs to sweep; duplicates are collapsed, order kept.
         mutate: optional ``f(config, workload) -> config`` hook applied
-            per cell (kept from the classic ``sweep``).
+            once per workload (kept from the classic ``sweep``).
         journal_path: JSONL journal location; None disables journaling.
         resume: with a journal, reuse completed cells whose config digest
             matches instead of re-simulating them.  ``resume=False``
             truncates any existing journal and starts over.
-        isolate: run each cell in a subprocess (implied by ``timeout_s``).
+        jobs: worker processes.  Above 1 every cell runs in its own
+            subprocess (parallelism implies isolation), so ``isolate``
+            is moot and ``timeout_s`` watchdogs apply per cell.
+        isolate: with ``jobs <= 1``, run each cell in a subprocess
+            (implied by ``timeout_s`` and ``deadline_s``).
         timeout_s: wall-clock budget per cell attempt.
         max_retries: extra attempts for transient (timeout/crash)
             failures; deterministic errors never retry.
@@ -717,11 +810,11 @@ def resilient_sweep(base_config, workloads, trace_length: int = 60_000,
             dropping below it pauses the sweep cleanly (``report.paused``)
             instead of tearing the journal.
         deadline_s: overall wall-clock budget for the sweep.  Per-attempt
-            watchdogs are clamped to the remaining budget (isolated
-            cells; in-process cells are only checked between cells), and
-            cells the deadline strands degrade into ``FailedCell``
-            records with error class ``DeadlineExceeded`` — never
-            retried, always journaled, re-run on resume.
+            watchdogs are clamped to the remaining budget (in-process
+            cells are only checked between cells), and cells the
+            deadline strands degrade into ``FailedCell`` records with
+            error class ``DeadlineExceeded`` — never retried, always
+            journaled, re-run on resume.
         retry_rng: a seeded ``random.Random`` for backoff jitter (see
             :func:`retry_delay`); ``None`` derives one from ``seed`` via
             :func:`retry_rng_for`, so the jitter schedule is reproducible.
@@ -730,7 +823,7 @@ def resilient_sweep(base_config, workloads, trace_length: int = 60_000,
             instead of trapping SIGINT/SIGTERM here — the seam
             ``repro serve`` uses to drain a request without process
             signals.  Setting its ``signum`` makes the sweep stop after
-            the in-flight cell, flush, canonicalize, and raise
+            the in-flight cell(s), flush, canonicalize, and raise
             :class:`SweepInterrupted` exactly as a real signal would.
         sampling_plan: optional :class:`~repro.sampling.SamplingPlan`
             switching every cell to the sampled lane.  The journal header
@@ -738,16 +831,22 @@ def resilient_sweep(base_config, workloads, trace_length: int = 60_000,
             :func:`~repro.sampling.sampling_cell_digest` (so sampled and
             exact records never satisfy each other on resume), and
             combining it with ``fault_plan`` is refused up front.
+        policy: with ``jobs > 1``, a
+            :class:`~repro.resilience.supervisor.SupervisionPolicy`
+            enabling worker heartbeats and the hung/RSS watchdogs;
+            ``None`` runs workers unsupervised.
 
     Returns:
         a :class:`SweepReport`; ``report.results`` matches the classic
         ``sweep()`` return shape.
 
-    Journaled sweeps trap SIGINT/SIGTERM: the current cell finishes, the
+    Journaled sweeps trap SIGINT/SIGTERM: in-flight cells are finished
+    (in-process) or reaped (workers), completed cells are flushed, the
     journal is canonicalized, and :class:`SweepInterrupted` is raised —
     the interrupted sweep resumes exactly where it stopped.  Journal
-    write trouble (ENOSPC, EIO, torn writes) pauses the sweep instead:
-    the report comes back with ``paused=True`` and a ``resume_hint``.
+    write trouble (ENOSPC, EIO, torn writes, the free-space floor)
+    pauses the sweep instead: the report comes back with
+    ``paused=True`` and a ``resume_hint``.
     """
     from repro.sim.stats import SimulationResult
     from repro.workloads.suite import get_workload
@@ -770,42 +869,38 @@ def resilient_sweep(base_config, workloads, trace_length: int = 60_000,
     journal = SweepJournal(journal_path) if journal_path is not None else None
     if journal is not None and min_free_mb is not None:
         journal.min_free_bytes = int(min_free_mb * 2 ** 20)
-    done: Dict[Tuple[str, str], Dict] = {}
-    if journal is not None:
-        if resume and journal.exists():
-            header, done = journal.read()
-            verify_rtrace_digests(header, journal.path)
-        else:
-            journal.write_header(sweep_header_fields(
-                base_config, workloads, designs, trace_length, seed,
-                sampling_plan=sampling_plan))
-
     cells = list(dict.fromkeys(
         (workload, design) for workload in workloads for design in designs))
-    results: Dict[str, Dict] = {
-        workload: {} for workload in dict.fromkeys(workloads)}
-    failures: List[FailedCell] = []
-    reused = 0
-    executed = 0
+    tasks: List[_CellTask] = []
+    reused: Dict[Tuple[str, str], Dict] = {}
+    #: slot -> (result, failure), in completion order.
+    outcomes: Dict[int, Tuple[object, Optional[FailedCell]]] = {}
     pause: Optional[JournalWriteError] = None
-    interrupted: Optional[int] = None
-    rng = retry_rng if retry_rng is not None else retry_rng_for(seed)
-    deadline_at = (time.monotonic() + deadline_s
-                   if deadline_s is not None else None)
-    # mutate is called once per workload (the classic sweep() contract),
-    # before the design is applied.
-    per_workload_config: Dict[str, object] = {}
     with ExitStack() as stack:
+        # Trap SIGINT/SIGTERM for the whole journaled section — header
+        # write through canonicalization — so a signal anywhere in it
+        # degrades into a graceful, resumable stop.
         interrupt = interrupt_state
         if interrupt is None and journal is not None:
-            # Graceful SIGINT/SIGTERM: finish the in-flight cell, leave a
-            # canonical journal, then raise SweepInterrupted below.
             from repro.resilience.supervisor import trap_interrupts
             interrupt = stack.enter_context(trap_interrupts())
+        done: Dict[Tuple[str, str], Dict] = {}
+        if journal is not None:
+            if resume and journal.exists():
+                header, done = journal.read()
+                verify_rtrace_digests(header, journal.path)
+            else:
+                try:
+                    journal.write_header(sweep_header_fields(
+                        base_config, workloads, designs, trace_length, seed,
+                        sampling_plan=sampling_plan))
+                except JournalWriteError as exc:
+                    pause = exc
+
+        # mutate is called once per workload (the classic sweep()
+        # contract), before the design is applied.
+        per_workload_config: Dict[str, object] = {}
         for workload, design in cells:
-            if interrupt is not None and interrupt.signum is not None:
-                interrupted = interrupt.signum
-                break
             if workload not in per_workload_config:
                 per_workload_config[workload] = (
                     mutate(base_config, workload) if mutate else base_config)
@@ -818,52 +913,97 @@ def resilient_sweep(base_config, workloads, trace_length: int = 60_000,
             record = done.get((workload, design))
             if (record is not None and record.get("type") == "done"
                     and record.get("config_digest") == digest):
-                results[workload][design] = SimulationResult.from_dict(
-                    record["result"])
-                reused += 1
+                reused[(workload, design)] = record
                 continue
-            result, failure, _attempts = _execute_with_retries(
-                config, workload, trace_length, seed, fault_plan, isolate,
-                timeout_s, max_retries, retry_backoff_s, fail_fast,
-                rng=rng, deadline_at=deadline_at,
-                sampling_plan=sampling_plan)
-            executed += 1
+            tasks.append(
+                _CellTask(len(tasks), workload, design, config, digest))
+
+        # Outcomes arrive in completion order and are journaled in slot
+        # order: slot N's record is appended only once slots 0..N-1 are
+        # written, so the journal is always a clean serial-order prefix.
+        next_slot = 0
+
+        def on_complete(task: _CellTask, result, failure) -> None:
+            nonlocal next_slot
+            outcomes[task.slot] = (result, failure)
+            while next_slot in outcomes:
+                _journal_outcome(journal, tasks[next_slot],
+                                 *outcomes[next_slot])
+                next_slot += 1
+
+        rng = retry_rng if retry_rng is not None else retry_rng_for(seed)
+        deadline_at = (time.monotonic() + deadline_s
+                       if deadline_s is not None else None)
+        if pause is None:
             try:
-                if result is not None:
-                    results[workload][design] = result
-                    if journal is not None:
-                        journal.append_done(workload, design, digest,
-                                            result.to_dict())
+                if jobs > 1:
+                    from repro.resilience.supervisor import _Dispatcher
+
+                    _Dispatcher(jobs, trace_length, seed, fault_plan,
+                                timeout_s, max_retries, retry_backoff_s,
+                                fail_fast, rng, deadline_at, sampling_plan,
+                                policy, interrupt).run(tasks, on_complete)
                 else:
-                    failures.append(failure)
-                    if journal is not None:
-                        journal.append_failed(failure)
+                    for task in tasks:
+                        if interrupt is not None \
+                                and interrupt.signum is not None:
+                            break
+                        result, failure, _attempts = _execute_with_retries(
+                            task.config, task.workload, trace_length, seed,
+                            fault_plan, isolate, timeout_s, max_retries,
+                            retry_backoff_s, fail_fast, rng=rng,
+                            deadline_at=deadline_at,
+                            sampling_plan=sampling_plan)
+                        on_complete(task, result, failure)
             except JournalWriteError as exc:
                 pause = exc
-                break
-        if interrupt is not None and interrupt.signum is not None \
-                and interrupted is None and (pause is not None
-                                             or executed + reused < len(cells)):
-            interrupted = interrupt.signum
-    if journal is not None and journal.exists():
-        # Collapse superseded records and order by cell enumeration, so a
-        # resumed sweep leaves the same journal bytes as an uninterrupted
-        # one (no-op when already canonical).
-        try:
-            journal.rewrite_canonical(cells)
-        except (JournalError, OSError):
-            # Disk trouble mid-pause: the append-order journal on disk is
-            # still valid and resumable, so keep it as-is.
-            pass
-    if interrupted is not None and pause is None:
+        interrupted = interrupt.signum if interrupt is not None else None
+        if journal is not None and pause is None:
+            # Flush completed cells still buffered past an unfinished
+            # slot (only an interrupt leaves any); canonicalization
+            # restores enumeration order.
+            for slot in sorted(s for s in outcomes if s >= next_slot):
+                try:
+                    _journal_outcome(journal, tasks[slot], *outcomes[slot])
+                except JournalWriteError as exc:
+                    pause = exc
+                    break
+        if journal is not None and journal.exists():
+            # Collapse superseded records and order by cell enumeration,
+            # so a resumed sweep leaves the same journal bytes as an
+            # uninterrupted one (no-op when already canonical).
+            try:
+                journal.rewrite_canonical(cells)
+            except (JournalError, OSError):
+                if pause is None and interrupted is None:
+                    raise
+                # Disk trouble mid-pause: the append-order journal on
+                # disk is still valid and resumable, so keep it as-is.
+
+    if interrupted is not None and pause is None \
+            and len(outcomes) < len(tasks):
         raise SweepInterrupted(
             interrupted, journal.path if journal is not None else None)
+    results: Dict[str, Dict] = {
+        workload: {} for workload in dict.fromkeys(workloads)}
+    failures: List[FailedCell] = []
+    slots = {(task.workload, task.design): task.slot for task in tasks}
+    for workload, design in cells:
+        record = reused.get((workload, design))
+        if record is not None:
+            results[workload][design] = SimulationResult.from_dict(
+                record["result"])
+            continue
+        result, failure = outcomes.get(slots[(workload, design)],
+                                       (None, None))
+        if result is not None:
+            results[workload][design] = result
+        elif failure is not None:
+            failures.append(failure)
     report = SweepReport(results=results, failures=failures,
-                         reused=reused, executed=executed)
+                         reused=len(reused), executed=len(outcomes))
     if pause is not None:
         report.paused = True
         report.pause_reason = str(pause)
-        report.resume_hint = (f"python -m repro resume {journal.path}"
-                              if journal is not None else "")
+        report.resume_hint = journal.resume_hint
     return report
-

@@ -1,8 +1,17 @@
-"""Self-healing supervision for parallel sweeps.
+"""The process dispatcher behind parallel sweeps, and its supervision.
 
-:class:`SupervisedDispatcher` extends the plain process-pool dispatcher
-(:class:`repro.perf.parallel._ParallelDispatcher`) with the monitoring a
-multi-day campaign needs to actually reach its last cell:
+``resilient_sweep(jobs=N)`` with ``N > 1`` hands its planned cells to
+:class:`_Dispatcher`, which runs each cell attempt in its own worker
+process (up to ``jobs`` at once) and reports every outcome back to the
+sweep's enumeration-order journal sink.  Transient failures (wall-clock
+timeout, a worker dying without reporting) retry with the serial
+runner's backoff; deterministic errors degrade into ``FailedCell``
+records (or raise under ``fail_fast``); dispatching a cell already in
+flight raises :class:`~repro.resilience.errors.DuplicateCellError`.
+
+A :class:`SupervisionPolicy` adds the monitoring a multi-day campaign
+needs to actually reach its last cell (``policy=None`` runs workers
+without heartbeats or watchdogs):
 
 * **Heartbeats.**  Workers send ``("hb",)`` over their result pipe every
   ``heartbeat_s``; a worker silent for ``hung_after_s`` is declared hung,
@@ -13,25 +22,22 @@ multi-day campaign needs to actually reach its last cell:
 * **RSS watchdog.**  Each worker's resident set (``/proc/<pid>/statm``)
   is sampled every ``check_interval_s``; a breach of ``max_rss_mb``
   kills the worker and — when more than one slot is active — *downshifts*
-  the effective ``--jobs`` by one and requeues the cell for free: memory
+  the effective ``jobs`` by one and requeues the cell for free: memory
   pressure is treated as a concurrency problem, not the cell's fault.
   Only at one job does a breach consume the retry budget
   (``CellResourceLimit``), so a single cell that genuinely cannot fit
   still degrades instead of looping.
-* **Free-disk guard.**  ``min_free_mb`` feeds the journal's pre-fsync
-  free-space floor; hitting it pauses the sweep cleanly with a resume
-  hint instead of tearing the journal on ENOSPC.
-* **Graceful interrupts.**  :func:`trap_interrupts` converts the first
-  SIGINT/SIGTERM into a flag the dispatcher polls: in-flight workers are
-  reaped, buffered completed cells are flushed, the journal is
-  canonicalized, and the sweep raises
-  :class:`~repro.resilience.errors.SweepInterrupted` (CLI exit
-  ``128 + signum``).  A second Ctrl-C falls through to the default
-  KeyboardInterrupt for users who really mean it.
 
-None of this changes journal bytes: supervision manages *processes*, the
-enumeration-order record buffering in ``parallel_sweep`` is untouched,
-so the serial ≡ parallel differential goldens hold under supervision.
+:func:`trap_interrupts` converts the first SIGINT/SIGTERM into a flag
+every journaled sweep polls: workers are reaped, completed cells are
+flushed, the journal is canonicalized, and the sweep raises
+:class:`~repro.resilience.errors.SweepInterrupted` (CLI exit
+``128 + signum``).  A second Ctrl-C falls through to the default
+KeyboardInterrupt for users who really mean it.
+
+None of this changes journal bytes: supervision manages *processes*,
+and the sweep's sink journals in enumeration order, so the serial ≡
+parallel differential goldens hold under supervision.
 """
 
 from __future__ import annotations
@@ -39,19 +45,34 @@ from __future__ import annotations
 import os
 import signal
 import time
+from collections import deque
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Optional
+from multiprocessing.connection import wait as _connection_wait
+from typing import Callable, Dict, List, Optional, Tuple
 
-from repro.perf.parallel import _ParallelDispatcher
-from repro.resilience.errors import CellHung, CellResourceLimit
+from repro.resilience.errors import (
+    CellCrash,
+    CellError,
+    CellHung,
+    CellResourceLimit,
+    CellTimeout,
+    DeadlineExceeded,
+    DuplicateCellError,
+)
+from repro.resilience.runner import (
+    FailedCell,
+    _CellTask,
+    _reap_worker,
+    _start_worker,
+    retry_delay,
+    retry_rng_for,
+)
 
 __all__ = [
     "SupervisionPolicy",
-    "SupervisedDispatcher",
     "InterruptState",
     "trap_interrupts",
-    "supervised_sweep",
     "worker_rss_bytes",
     "free_disk_bytes",
     "host_readiness",
@@ -62,6 +83,9 @@ __all__ = [
 class SupervisionPolicy:
     """Watchdog thresholds for a supervised parallel sweep.
 
+    The journal's free-disk floor is not a watchdog: it is the sweep's
+    own ``min_free_mb`` argument, honoured at every ``jobs`` value.
+
     Attributes:
         heartbeat_s: worker heartbeat period (0/None disables heartbeats
             and therefore hung detection).
@@ -69,8 +93,6 @@ class SupervisionPolicy:
             requeued); must comfortably exceed ``heartbeat_s``.
         max_rss_mb: per-worker resident-set ceiling in MB (None disables
             the RSS watchdog).
-        min_free_mb: free-disk floor (MB) for the journal's pre-fsync
-            guard.
         check_interval_s: watchdog sampling period; also bounds how long
             an interrupt can go unnoticed.
     """
@@ -78,7 +100,6 @@ class SupervisionPolicy:
     heartbeat_s: Optional[float] = 1.0
     hung_after_s: Optional[float] = 30.0
     max_rss_mb: Optional[float] = None
-    min_free_mb: Optional[float] = 32.0
     check_interval_s: float = 0.25
 
     def __post_init__(self) -> None:
@@ -195,22 +216,137 @@ def trap_interrupts(signals=(signal.SIGINT, signal.SIGTERM)):
 
 # --------------------------------------------------------------- dispatcher
 
-class SupervisedDispatcher(_ParallelDispatcher):
-    """A parallel dispatcher with heartbeat, hang, and RSS watchdogs."""
+class _Running:
+    """A task currently executing in a worker process."""
 
-    def __init__(self, *args, policy: SupervisionPolicy, **kwargs) -> None:
-        super().__init__(*args, **kwargs)
+    __slots__ = ("task", "worker", "receiver", "deadline", "last_heartbeat")
+
+    def __init__(self, task: _CellTask, worker, receiver,
+                 deadline: Optional[float]) -> None:
+        self.task = task
+        self.worker = worker
+        self.receiver = receiver
+        self.deadline = deadline
+        self.last_heartbeat = time.monotonic()
+
+
+class _Dispatcher:
+    """Run cell tasks across up to ``jobs`` worker processes.
+
+    Completion is reported through ``on_complete(task, result, failure)``
+    — a ``SimulationResult`` and None, or None and a :class:`FailedCell`
+    — in completion order; the sweep re-sequences by ``task.slot``.
+    """
+
+    def __init__(self, jobs: int, trace_length: int, seed: int, fault_plan,
+                 timeout_s: Optional[float], max_retries: int,
+                 retry_backoff_s: float, fail_fast: bool,
+                 retry_rng=None, deadline_at: Optional[float] = None,
+                 sampling_plan=None,
+                 policy: Optional[SupervisionPolicy] = None,
+                 interrupt: Optional[InterruptState] = None) -> None:
+        self.jobs = max(1, jobs)
+        self.trace_length = trace_length
+        self.seed = seed
+        self.fault_plan = fault_plan
+        self.sampling_plan = sampling_plan
+        self.timeout_s = timeout_s
+        self.max_retries = max_retries
+        self.retry_backoff_s = retry_backoff_s
+        self.fail_fast = fail_fast
+        #: shared seeded RNG for deterministic retry-backoff jitter.
+        self.retry_rng = (retry_rng if retry_rng is not None
+                          else retry_rng_for(seed))
+        #: monotonic instant the whole sweep must stop by (None = none).
+        self.deadline_at = deadline_at
         self.policy = policy
-        self.heartbeat_s = policy.heartbeat_s or None
-        #: forensic counters surfaced for tests and reporting
-        self.hung_kills = 0
-        self.rss_kills = 0
-        self.downshifts = 0
+        self.heartbeat_s = (policy.heartbeat_s or None
+                            if policy is not None else None)
+        #: an InterruptState polled for graceful SIGINT/SIGTERM shutdown.
+        self.interrupt = interrupt
+        self._in_flight: Dict[Tuple[str, str], _Running] = {}
 
-    def _poll_interval(self) -> Optional[float]:
-        return self.policy.check_interval_s
+    # ------------------------------------------------------------- lifecycle
 
-    def _watchdogs(self, retries, on_complete) -> None:
+    def _spawn(self, task: _CellTask) -> None:
+        key = (task.workload, task.design)
+        if key in self._in_flight:
+            raise DuplicateCellError(
+                f"cell ({task.workload}, {task.design}) is already in "
+                f"flight — refusing to race two workers on one journal "
+                f"record")
+        worker, receiver = _start_worker(
+            task.config, task.workload, self.trace_length, self.seed,
+            self.fault_plan, self.sampling_plan, self.heartbeat_s)
+        task.attempts += 1
+        deadline = (time.monotonic() + self.timeout_s
+                    if self.timeout_s is not None else None)
+        self._in_flight[key] = _Running(task, worker, receiver, deadline)
+
+    def _kill(self, key: Tuple[str, str]) -> _Running:
+        """Take a task out of flight and reap its worker."""
+        running = self._in_flight.pop(key)
+        _reap_worker(running.worker, running.receiver)
+        return running
+
+    def _shutdown(self) -> None:
+        for key in list(self._in_flight):
+            self._kill(key)
+
+    # -------------------------------------------------------------- failure
+
+    def _fail(self, task: _CellTask, error_class: str, message: str,
+              traceback_text: str = "") -> FailedCell:
+        return FailedCell(
+            workload=task.workload, design=task.design,
+            error_class=error_class, message=message,
+            traceback=traceback_text, config_digest=task.digest,
+            attempts=task.attempts)
+
+    def _transient(self, task: _CellTask, exc, retries: List[_CellTask],
+                   on_complete) -> None:
+        """Timeout/crash/hang: retry with backoff, else degrade (or
+        raise)."""
+        if (task.attempts <= self.max_retries
+                and not isinstance(exc, DeadlineExceeded)):
+            delay = retry_delay(self.retry_backoff_s, task.attempts,
+                                self.retry_rng)
+            ready_at = time.monotonic() + delay
+            if self.deadline_at is None or ready_at < self.deadline_at:
+                task.ready_at = ready_at
+                retries.append(task)
+                return
+            exc = DeadlineExceeded(
+                f"cell ({task.workload}, {task.design}) has no deadline "
+                f"budget left for a retry after: {exc}")
+        if self.fail_fast:
+            self._shutdown()
+            raise exc
+        on_complete(task, None,
+                    self._fail(task, type(exc).__name__, str(exc)))
+
+    def _expire_deadline(self, pending, retries: List[_CellTask],
+                         on_complete) -> None:
+        """The sweep deadline passed: kill in-flight workers and degrade
+        every unfinished cell into a ``DeadlineExceeded`` FailedCell (all
+        journaled, so a resume re-runs exactly these cells)."""
+        exc = DeadlineExceeded("sweep deadline exceeded")
+        if self.fail_fast:
+            self._shutdown()
+            raise exc
+        stranded = [self._kill(key).task for key in list(self._in_flight)]
+        stranded.extend(retries)
+        retries.clear()
+        stranded.extend(pending)
+        pending.clear()
+        for task in stranded:
+            on_complete(task, None, self._fail(
+                task, type(exc).__name__,
+                f"cell ({task.workload}, {task.design}) unfinished when "
+                f"the sweep deadline expired"))
+
+    def _supervise(self, retries: List[_CellTask], on_complete) -> None:
+        """The policy's hung-worker and RSS watchdogs."""
         policy = self.policy
         now = time.monotonic()
         for key, running in list(self._in_flight.items()):
@@ -219,46 +355,132 @@ class SupervisedDispatcher(_ParallelDispatcher):
             task = running.task
             if (self.heartbeat_s and policy.hung_after_s is not None
                     and now - running.last_heartbeat > policy.hung_after_s):
-                del self._in_flight[key]
-                self._reap(running)
-                self.hung_kills += 1
-                self._transient(running, CellHung(
+                self._kill(key)
+                self._transient(task, CellHung(
                     f"cell ({task.workload}, {task.design}) worker sent no "
                     f"heartbeat for {policy.hung_after_s:g}s — killed as "
                     f"hung"), retries, on_complete)
                 continue
-            if policy.max_rss_mb is not None:
-                rss = worker_rss_bytes(running.worker.pid)
-                if rss is not None and rss > policy.max_rss_mb * 2 ** 20:
-                    del self._in_flight[key]
-                    self._reap(running)
-                    self.rss_kills += 1
-                    if self.jobs > 1:
-                        # Memory pressure is a concurrency problem: shed a
-                        # slot and requeue the cell without spending its
-                        # retry budget.
-                        self.jobs -= 1
-                        self.downshifts += 1
-                        task.attempts -= 1
-                        task.ready_at = now
-                        retries.append(task)
-                    else:
-                        self._transient(running, CellResourceLimit(
-                            f"cell ({task.workload}, {task.design}) worker "
-                            f"RSS {rss / 2 ** 20:.0f}MB exceeded the "
-                            f"{policy.max_rss_mb:g}MB ceiling with no "
-                            f"concurrency left to shed"), retries,
-                            on_complete)
+            if policy.max_rss_mb is None:
+                continue
+            rss = worker_rss_bytes(running.worker.pid)
+            if rss is None or rss <= policy.max_rss_mb * 2 ** 20:
+                continue
+            self._kill(key)
+            if self.jobs > 1:
+                # Memory pressure is a concurrency problem: shed a slot
+                # and requeue the cell without spending its retry budget.
+                self.jobs -= 1
+                task.attempts -= 1
+                task.ready_at = now
+                retries.append(task)
+            else:
+                self._transient(task, CellResourceLimit(
+                    f"cell ({task.workload}, {task.design}) worker RSS "
+                    f"{rss / 2 ** 20:.0f}MB exceeded the "
+                    f"{policy.max_rss_mb:g}MB ceiling with no concurrency "
+                    f"left to shed"), retries, on_complete)
 
+    # ------------------------------------------------------------------ run
 
-def supervised_sweep(base_config, workloads,
-                     policy: Optional[SupervisionPolicy] = None, **kwargs):
-    """Run :func:`repro.perf.parallel.parallel_sweep` under supervision.
+    def _wait_timeout(self, now: float,
+                      retries: List[_CellTask]) -> Optional[float]:
+        """How long the loop may block on pipe traffic: until the first
+        watchdog, retry, deadline or supervision check falls due."""
+        bounds = []
+        if self.timeout_s is not None and self._in_flight:
+            bounds.append(min(r.deadline for r in self._in_flight.values())
+                          - now)
+        if retries:
+            bounds.append(min(t.ready_at for t in retries) - now)
+        if self.deadline_at is not None:
+            bounds.append(self.deadline_at - now)
+        if self.policy is not None:
+            bounds.append(self.policy.check_interval_s)
+        if self.interrupt is not None:
+            bounds.append(0.2)  # stay responsive to a SIGINT/SIGTERM flag
+        return max(0.0, min(bounds)) if bounds else None
 
-    Thin convenience wrapper: a default :class:`SupervisionPolicy` is
-    used when none is given; all other arguments are forwarded.
-    """
-    from repro.perf.parallel import parallel_sweep
+    def _receive(self, running: _Running, retries: List[_CellTask],
+                 on_complete: Callable) -> None:
+        """Handle one readable worker pipe."""
+        task = running.task
+        key = (task.workload, task.design)
+        try:
+            outcome = running.receiver.recv()
+        except EOFError:
+            self._kill(key)
+            self._transient(task, CellCrash(
+                f"cell ({task.workload}, {task.design}) worker died "
+                f"without reporting (exit code "
+                f"{running.worker.exitcode})"), retries, on_complete)
+            return
+        if outcome[0] == "hb":
+            running.last_heartbeat = time.monotonic()
+            return
+        self._kill(key)
+        if outcome[0] == "ok":
+            from repro.sim.stats import SimulationResult
 
-    return parallel_sweep(base_config, workloads,
-                          policy=policy or SupervisionPolicy(), **kwargs)
+            on_complete(task, SimulationResult.from_dict(outcome[1]), None)
+            return
+        _, error_class, message, traceback_text = outcome
+        if self.fail_fast:
+            self._shutdown()
+            raise CellError(error_class, message, traceback_text)
+        # Deterministic error: never retried (same input, same crash),
+        # mirrors the serial runner.
+        on_complete(task, None,
+                    self._fail(task, error_class, message, traceback_text))
+
+    def run(self, tasks: List[_CellTask], on_complete: Callable) -> None:
+        """Dispatch until every task completed — or a graceful interrupt
+        was flagged, in which case in-flight workers are reaped and their
+        cells simply stay unfinished (the journal already holds every
+        flushed record, so resume re-runs them)."""
+        pending = deque(tasks)
+        retries: List[_CellTask] = []
+        try:
+            while pending or retries or self._in_flight:
+                if (self.interrupt is not None
+                        and self.interrupt.signum is not None):
+                    break
+                now = time.monotonic()
+                if self.deadline_at is not None and now >= self.deadline_at:
+                    self._expire_deadline(pending, retries, on_complete)
+                    break
+                for task in [t for t in retries if t.ready_at <= now]:
+                    retries.remove(task)
+                    pending.append(task)
+                while pending and len(self._in_flight) < self.jobs:
+                    self._spawn(pending.popleft())
+                if not self._in_flight:
+                    if retries:
+                        time.sleep(self._wait_timeout(time.monotonic(),
+                                                      retries))
+                    continue
+                by_receiver = {r.receiver: r
+                               for r in self._in_flight.values()}
+                for receiver in _connection_wait(
+                        list(by_receiver), self._wait_timeout(now, retries)):
+                    running = by_receiver[receiver]
+                    if self._in_flight.get((running.task.workload,
+                                            running.task.design)) \
+                            is running:
+                        self._receive(running, retries, on_complete)
+                if self.timeout_s is not None:
+                    now = time.monotonic()
+                    for key, running in list(self._in_flight.items()):
+                        if running.deadline > now or \
+                                running.receiver.poll(0):
+                            continue  # still in budget, or raced completion
+                        self._kill(key)
+                        task = running.task
+                        self._transient(task, CellTimeout(
+                            f"cell ({task.workload}, {task.design}) "
+                            f"exceeded {self.timeout_s:g}s wall clock"),
+                            retries, on_complete)
+                if self.policy is not None:
+                    self._supervise(retries, on_complete)
+        finally:
+            self._shutdown()

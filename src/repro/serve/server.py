@@ -3,9 +3,9 @@
 Stdlib only: an :func:`asyncio.start_server` loop speaks just enough
 HTTP/1.1 for ``POST /rpc`` (JSON-RPC 2.0, batches allowed) plus
 ``GET /healthz`` / ``GET /readyz``.  Simulation jobs run on a thread
-pool and dispatch onto the existing resilience substrate
-(:func:`~repro.resilience.runner.resilient_sweep` /
-:func:`~repro.perf.parallel.parallel_sweep`), so every robustness
+pool and dispatch onto the existing resilience substrate — one
+``resilient_sweep(jobs=…)`` call per request
+(:func:`~repro.resilience.runner.resilient_sweep`), so every robustness
 property of the CLI — journaling, retries, watchdogs, chaos hooks —
 holds per request.
 
@@ -91,6 +91,9 @@ class ServeConfig:
     #: unbounded).
     deadline_s: Optional[float] = None
     policy: Optional[SupervisionPolicy] = None
+    #: free-disk floor (MB): request journals pause below it, and
+    #: ``/readyz`` answers 503 once the spool's filesystem drops under it.
+    min_free_mb: Optional[float] = 32.0
 
     def __post_init__(self) -> None:
         if self.jobs < 1:
@@ -288,10 +291,11 @@ class SimulationServer:
         return await self._handle_rpc(raw, client)
 
     def _readiness(self):
-        guards = self.config.policy or SupervisionPolicy()
-        ready, checks = host_readiness(self.config.spool,
-                                       max_rss_mb=guards.max_rss_mb,
-                                       min_free_mb=guards.min_free_mb)
+        policy = self.config.policy
+        ready, checks = host_readiness(
+            self.config.spool,
+            max_rss_mb=policy.max_rss_mb if policy is not None else None,
+            min_free_mb=self.config.min_free_mb)
         if self.draining:
             ready = False
             checks["reasons"].append("server is draining")
@@ -507,7 +511,8 @@ class SimulationServer:
             policy=self.config.policy,
             retry_backoff_s=self.config.retry_backoff_s,
             default_timeout_s=self.config.timeout_s,
-            default_retries=self.config.retries)
+            default_retries=self.config.retries,
+            min_free_mb=self.config.min_free_mb)
 
 
 @contextlib.contextmanager

@@ -10,7 +10,6 @@ import signal
 
 import pytest
 
-from repro.perf.parallel import parallel_sweep
 from repro.resilience import chaos
 from repro.resilience.checkpoint import load_checkpoint, save_checkpoint
 from repro.resilience.doctor import (
@@ -40,7 +39,6 @@ from repro.resilience.runner import SweepJournal, resilient_sweep
 from repro.resilience.supervisor import (
     SupervisionPolicy,
     free_disk_bytes,
-    supervised_sweep,
     trap_interrupts,
     worker_rss_bytes,
 )
@@ -72,8 +70,8 @@ def reference_journal(tmp_path_factory):
     """An uninterrupted parallel sweep's journal — the bit-identity oracle
     every chaos scenario must converge back to."""
     path = tmp_path_factory.mktemp("ref") / "ref.jsonl"
-    report = parallel_sweep(make_config(), WORKLOADS, trace_length=LENGTH,
-                            jobs=2, journal_path=path)
+    report = resilient_sweep(make_config(), WORKLOADS, trace_length=LENGTH,
+                             jobs=2, journal_path=path)
     assert report.ok
     return path.read_bytes()
 
@@ -81,7 +79,7 @@ def reference_journal(tmp_path_factory):
 def run_sweep(journal_path, **kwargs):
     options = dict(trace_length=LENGTH, jobs=2, journal_path=journal_path)
     options.update(kwargs)
-    return parallel_sweep(make_config(), WORKLOADS, **options)
+    return resilient_sweep(make_config(), WORKLOADS, **options)
 
 
 # ----------------------------------------------------- truncation sweeps
@@ -252,27 +250,58 @@ class TestChaosScenarios:
         assert resumed.ok
         assert target.read_bytes() == reference_journal
 
-    @pytest.mark.parametrize("kind", ["journal-enospc", "journal-eio"])
+    # Each scenario runs under the in-process loop (jobs 1) and the
+    # process dispatcher (jobs 2); only the jobs-1 ids carry a suffix.
+    @pytest.mark.parametrize("kind,jobs", [
+        pytest.param("journal-enospc", 2, id="journal-enospc"),
+        pytest.param("journal-eio", 2, id="journal-eio"),
+        pytest.param("journal-enospc", 1, id="journal-enospc-jobs1"),
+        pytest.param("journal-eio", 1, id="journal-eio-jobs1"),
+    ])
     def test_journal_write_fault_pauses_resumable(self, tmp_path, kind,
-                                                  reference_journal):
+                                                  jobs, reference_journal):
         target = tmp_path / f"{kind}.jsonl"
         with chaos.armed(chaos.HostFaultPlan.parse([f"{kind}@1"])):
-            report = run_sweep(target)
+            report = run_sweep(target, jobs=jobs)
         assert report.paused and not report.ok
         assert str(target) in report.resume_hint
-        resumed = run_sweep(target)
+        resumed = run_sweep(target, jobs=jobs)
         assert resumed.ok
         assert target.read_bytes() == reference_journal
 
     def test_journal_torn_write_pauses_and_resumes(self, tmp_path,
                                                    reference_journal):
-        target = tmp_path / "torn.jsonl"
-        with chaos.armed(chaos.HostFaultPlan.parse(["journal-torn@2:30"])):
-            report = run_sweep(target)
-        assert report.paused
-        # the torn trailing line is tolerated by read() and by resume
-        resumed = run_sweep(target)
-        assert resumed.ok
+        for jobs in (1, 2):
+            target = tmp_path / f"torn-{jobs}.jsonl"
+            with chaos.armed(
+                    chaos.HostFaultPlan.parse(["journal-torn@2:30"])):
+                report = run_sweep(target, jobs=jobs)
+            assert report.paused
+            # the torn trailing line is tolerated by read() and by resume
+            resumed = run_sweep(target, jobs=jobs)
+            assert resumed.ok
+            assert target.read_bytes() == reference_journal
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    @pytest.mark.parametrize("spec", ["journal-enospc@0",
+                                      "journal-torn@0:30"])
+    def test_header_write_fault_says_rerun_not_resume(self, tmp_path, spec,
+                                                      jobs,
+                                                      reference_journal):
+        """A fault on the header write pauses the sweep, leaves no
+        journal behind, and points at re-running the sweep — there is
+        no journal for ``repro resume`` to continue."""
+        target = tmp_path / "headless.jsonl"
+        with chaos.armed(chaos.HostFaultPlan.parse([spec])):
+            report = run_sweep(target, jobs=jobs)
+        assert report.paused and not report.ok
+        assert report.executed == 0
+        assert not target.exists()
+        assert "re-run the sweep" in report.resume_hint
+        assert "repro resume" not in report.resume_hint
+        assert "repro resume" not in report.pause_reason
+        rerun = run_sweep(target, jobs=jobs)
+        assert rerun.ok
         assert target.read_bytes() == reference_journal
 
     @pytest.mark.parametrize("kind", ["checkpoint-enospc",
@@ -289,23 +318,28 @@ class TestChaosScenarios:
         assert ckpt.read_bytes() == good
         assert not (tmp_path / "c.ckpt.tmp").exists()
 
-    @pytest.mark.parametrize("signame,signum", [("sigint", signal.SIGINT),
-                                                ("sigterm", signal.SIGTERM)])
+    @pytest.mark.parametrize("signame,signum,jobs", [
+        pytest.param("sigint", signal.SIGINT, 2, id="sigint-2"),
+        pytest.param("sigterm", signal.SIGTERM, 2, id="sigterm-15"),
+        pytest.param("sigint", signal.SIGINT, 1, id="sigint-2-jobs1"),
+        pytest.param("sigterm", signal.SIGTERM, 1, id="sigterm-15-jobs1"),
+    ])
     def test_signal_stops_gracefully_and_resumes(self, tmp_path, signame,
-                                                 signum, reference_journal):
+                                                 signum, jobs,
+                                                 reference_journal):
         """A signal delivered mid-sweep raises SweepInterrupted with the
         shell-convention exit code; the journal stays canonical and a
         resume converges bit-identically."""
         target = tmp_path / f"{signame}.jsonl"
         with chaos.armed(chaos.HostFaultPlan.parse([f"{signame}@1"])):
             with pytest.raises(SweepInterrupted) as excinfo:
-                run_sweep(target)
+                run_sweep(target, jobs=jobs)
         assert excinfo.value.signum == signum
         assert excinfo.value.exit_code == EXIT_INTERRUPT_BASE + signum
         # interrupted journal is already readable and canonical
         header, cells = SweepJournal(target).read()
         assert header["type"] == "header"
-        resumed = run_sweep(target)
+        resumed = run_sweep(target, jobs=jobs)
         assert resumed.ok
         assert target.read_bytes() == reference_journal
 
@@ -326,9 +360,10 @@ class TestSupervision:
     def test_supervised_journal_bytes_identical(self, tmp_path,
                                                 reference_journal):
         target = tmp_path / "sup.jsonl"
-        report = supervised_sweep(make_config(), WORKLOADS,
-                                  trace_length=LENGTH, jobs=2,
-                                  journal_path=target)
+        report = resilient_sweep(make_config(), WORKLOADS,
+                                 trace_length=LENGTH, jobs=2,
+                                 journal_path=target,
+                                 policy=SupervisionPolicy())
         assert report.ok
         assert target.read_bytes() == reference_journal
 
@@ -341,7 +376,7 @@ class TestSupervision:
         # cheat: worker thinks the heartbeat period is 60s (sends none in
         # time), supervisor expects silence < 0.4s
         object.__setattr__(policy, "hung_after_s", 0.4)
-        report = parallel_sweep(
+        report = resilient_sweep(
             make_config(), ["gups"], trace_length=80_000, jobs=2,
             journal_path=tmp_path / "hung.jsonl", max_retries=0,
             policy=policy)
@@ -355,7 +390,7 @@ class TestSupervision:
         (a fast cell may legitimately complete between watchdog samples,
         so only the failures' *kind* is deterministic)."""
         policy = SupervisionPolicy(max_rss_mb=1.0, check_interval_s=0.05)
-        report = parallel_sweep(
+        report = resilient_sweep(
             make_config(), ["gups"], trace_length=80_000, jobs=2,
             journal_path=tmp_path / "rss.jsonl", max_retries=0,
             policy=policy)

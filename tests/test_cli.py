@@ -197,6 +197,51 @@ class TestSupervisionFlags:
         # the paused journal resumes to completion
         assert main(["resume", str(journal), "--jobs", "2"]) == 0
 
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_header_write_fault_says_rerun_not_resume(self, tmp_path,
+                                                      capsys, jobs):
+        """No header reached the disk, so there is no journal to resume:
+        the pause (exit 4) points at re-running the sweep instead."""
+        journal = tmp_path / "j.jsonl"
+        assert main(["sweep", "--workloads", "gups", "--length", "2000",
+                     "--jobs", jobs, "--chaos", "journal-enospc@0",
+                     "--journal", str(journal)]) == 4
+        err = capsys.readouterr().err
+        assert "PAUSED" in err
+        assert "re-run the sweep" in err
+        assert "repro resume" not in err
+        assert not journal.exists()
+
+    FLOOR_MODES = pytest.mark.parametrize("mode", [
+        ["--jobs", "1"],
+        ["--jobs", "2"],
+        ["--jobs", "2", "--no-supervise"],
+    ], ids=["jobs1", "jobs2", "jobs2-no-supervise"])
+
+    @FLOOR_MODES
+    def test_min_free_floor_pauses_sweep(self, tmp_path, capsys, mode):
+        journal = tmp_path / "j.jsonl"
+        assert main(["sweep", "--workloads", "gups", "--length", "2000",
+                     "--min-free-mb", "1e12", "--journal", str(journal),
+                     *mode]) == 4
+        err = capsys.readouterr().err
+        assert "PAUSED" in err and "floor" in err
+
+    @FLOOR_MODES
+    def test_min_free_floor_pauses_resume(self, tmp_path, capsys, mode):
+        journal = tmp_path / "j.jsonl"
+        assert main(["sweep", "--workloads", "gups", "--length", "2000",
+                     "--chaos", "journal-enospc@1",
+                     "--journal", str(journal)]) == 4
+        before = journal.read_bytes()
+        capsys.readouterr()
+        assert main(["resume", str(journal), "--min-free-mb", "1e12",
+                     *mode]) == 4
+        err = capsys.readouterr().err
+        assert "PAUSED" in err and "floor" in err
+        assert f"repro resume {journal}" in err
+        assert journal.read_bytes() == before
+
 
 class TestUsageErrors:
     """Bad invocations must exit 2 with a usage message, not a traceback."""

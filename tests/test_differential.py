@@ -5,7 +5,8 @@ the parallel dispatcher) all promise *bit-identical* behaviour to the
 reference implementations they shadow.  These tests hold the promise by
 running both paths on the same inputs and demanding equality:
 
-* serial ``resilient_sweep`` vs ``parallel_sweep`` at ``jobs`` 1/2/4 —
+* the serial loop vs the process dispatcher (``resilient_sweep`` at
+  ``jobs`` 1/2/4) —
   identical journal bytes and identical result payloads;
 * VIPT vs PIPT L1s of the same geometry — the VIPT constraint (index
   bits inside the page offset) makes virtual and physical indexing
@@ -21,7 +22,6 @@ import pytest
 from repro.cache.pipt import PiptL1Cache
 from repro.cache.vipt import L1Timing, ViptL1Cache
 from repro.mem.address import PageSize
-from repro.perf.parallel import parallel_sweep
 from repro.resilience.runner import resilient_sweep
 from repro.sim.config import SystemConfig
 from repro.sim.experiment import run_workload
@@ -40,9 +40,9 @@ def _sweep_serial(tmp_path, name):
 
 def _sweep_parallel(tmp_path, name, jobs):
     path = tmp_path / name
-    report = parallel_sweep(SystemConfig(seed=42), WORKLOADS,
-                            trace_length=LENGTH, journal_path=path,
-                            jobs=jobs)
+    report = resilient_sweep(SystemConfig(seed=42), WORKLOADS,
+                             trace_length=LENGTH, journal_path=path,
+                             jobs=jobs)
     return report, path.read_bytes()
 
 
@@ -153,9 +153,9 @@ class TestSampledLaneEquivalence:
 
     def _parallel(self, tmp_path, name, jobs):
         path = tmp_path / name
-        report = parallel_sweep(SystemConfig(seed=42), WORKLOADS,
-                                trace_length=LENGTH, journal_path=path,
-                                jobs=jobs, sampling_plan=self._plan())
+        report = resilient_sweep(SystemConfig(seed=42), WORKLOADS,
+                                 trace_length=LENGTH, journal_path=path,
+                                 jobs=jobs, sampling_plan=self._plan())
         return report, path.read_bytes()
 
     @pytest.mark.parametrize("jobs", [1, 2, 4])

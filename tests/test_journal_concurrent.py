@@ -35,7 +35,7 @@ class TestConcurrentReaders:
             self, tmp_path):
         """N reader threads poll scan()/read() while a supervised
         parallel sweep writes; no reader ever observes a bad prefix."""
-        from repro.perf.parallel import parallel_sweep
+        from repro.resilience.runner import resilient_sweep
         from repro.resilience.supervisor import SupervisionPolicy
 
         journal_path = tmp_path / "live.jsonl"
@@ -71,7 +71,7 @@ class TestConcurrentReaders:
         for thread in readers:
             thread.start()
         try:
-            report = parallel_sweep(
+            report = resilient_sweep(
                 SystemConfig(seed=42), ["gups", "mcf"],
                 trace_length=4_000, seed=42,
                 designs=("vipt", "seesaw"),

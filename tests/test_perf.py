@@ -1,7 +1,7 @@
 """Unit tests for the repro.perf package and canonical journals.
 
 Covers the pieces the differential suite doesn't: the duplicate-in-flight
-guard, failure degradation and fail-fast in the parallel dispatcher,
+guard, failure degradation and fail-fast in the process dispatcher,
 ``SweepJournal.rewrite_canonical``, and the bench harness's percentile /
 calibration-normalized regression arithmetic.
 """
@@ -18,19 +18,16 @@ from repro.perf.bench import (
     percentile,
     run_benchmark,
 )
-from repro.perf.parallel import (
-    DuplicateCellError,
-    _CellTask,
-    _ParallelDispatcher,
-    parallel_sweep,
-)
 from repro.resilience import FaultPlan, FaultSpec
 from repro.resilience.checkpoint import config_digest
+from repro.resilience.errors import DuplicateCellError
 from repro.resilience.runner import (
     CellError,
     SweepJournal,
+    _CellTask,
     resilient_sweep,
 )
+from repro.resilience.supervisor import _Dispatcher
 from repro.sim.config import SystemConfig
 
 
@@ -44,7 +41,7 @@ def _dispatcher(**overrides):
                       timeout_s=None, max_retries=0, retry_backoff_s=0.01,
                       fail_fast=False)
     parameters.update(overrides)
-    return _ParallelDispatcher(**parameters)
+    return _Dispatcher(**parameters)
 
 
 class TestDuplicateCellGuard:
@@ -76,7 +73,7 @@ class TestParallelFailureHandling:
         the serial runner's degradation contract."""
         plan = FaultPlan([FaultSpec("stats-skew", 1200)])
         journal = tmp_path / "journal.jsonl"
-        report = parallel_sweep(
+        report = resilient_sweep(
             SystemConfig(seed=42, sanitize=True), ["gups"],
             trace_length=2000, jobs=2, designs=("vipt", "seesaw"),
             fault_plan=plan, journal_path=journal)
@@ -93,13 +90,13 @@ class TestParallelFailureHandling:
         degrading."""
         plan = FaultPlan([FaultSpec("stats-skew", 1200)])
         with pytest.raises(CellError):
-            parallel_sweep(
+            resilient_sweep(
                 SystemConfig(seed=42, sanitize=True), ["gups"],
                 trace_length=2000, jobs=2, designs=("vipt", "seesaw"),
                 fault_plan=plan, fail_fast=True)
 
     def test_timeout_degrades_after_retries(self, tmp_path):
-        report = parallel_sweep(
+        report = resilient_sweep(
             SystemConfig(seed=42), ["mcf"], trace_length=60_000, jobs=2,
             designs=("vipt",), timeout_s=0.02, max_retries=1,
             retry_backoff_s=0.01,
